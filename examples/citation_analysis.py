@@ -19,8 +19,8 @@ import numpy as np
 from repro import (
     monte_carlo_simrank,
     oip_dsr,
+    simrank_top_k,
     single_pair_simrank,
-    top_k_single_source,
 )
 from repro.graph.generators import citation_network
 from repro.graph.properties import degree_statistics
@@ -47,9 +47,9 @@ def main() -> None:
     for label, score in full.top_k(query, k=8):
         print(f"  patent {label}: {score:.4f}")
 
-    # Single-source SimRank: O(n) memory, no n x n matrix — what you would
-    # run on the real 3.7M-patent network for a single query.
-    ranking = top_k_single_source(graph, query, k=8, damping=0.6)
+    # Batched single-source SimRank: no n x n matrix — what you would run
+    # on the real 3.7M-patent network for a handful of queries.
+    (ranking,) = simrank_top_k(graph, [query], k=8, damping=0.6)
     print("\nTop-8 related patents (single-source series, no full matrix):")
     for label, score in ranking.entries:
         print(f"  patent {label}: {score:.4f}")

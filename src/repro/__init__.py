@@ -66,9 +66,7 @@ from .baselines import (
     naive_simrank,
     psum_simrank,
     single_pair_simrank,
-    single_source_simrank,
     top_k_from_result,
-    top_k_single_source,
 )
 from .core import (
     SharingPlan,
@@ -175,10 +173,8 @@ __all__ = sorted(
         "simrank",
         "simrank_top_k",
         "single_pair_simrank",
-        "single_source_simrank",
         "syn_graph",
         "top_k_from_result",
-        "top_k_single_source",
         "zipf_query_stream",
     ]
 )

@@ -9,11 +9,14 @@ importing solver modules.
 Methods register a :class:`~repro.engine.capabilities.Capabilities` record
 describing what they can do (task shapes, honourable backends, parallelism,
 adjacency needs); the cost-based planner in :mod:`repro.engine` reads those
-declarations when it chooses an execution plan.  Both free functions are
-thin one-shot wrappers over an ephemeral :class:`~repro.engine.Engine`
-session and return answers bit-identical to the engine's — long-lived
-callers should hold an ``Engine`` instead, which reuses the transition
-operator and worker pool across calls.
+declarations when it chooses an execution plan.  The method registry
+(``METHODS``, ``MethodSpec``, ``register_method``, ``method_spec``) lives
+in :mod:`repro.engine.capabilities` and is re-exported here.
+
+Both free functions are thin one-shot wrappers over an ephemeral
+:class:`~repro.engine.Engine` session and return answers bit-identical to
+the engine's — long-lived callers should hold an ``Engine`` instead, which
+reuses the transition operator and worker pool across calls.
 
 Examples
 --------
@@ -26,25 +29,22 @@ Examples
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .baselines.matrix_sr import matrix_simrank
-from .baselines.monte_carlo import monte_carlo_simrank
-from .baselines.mtx_svd_sr import mtx_svd_simrank
-from .baselines.naive import naive_simrank
-from .baselines.psum_sr import psum_simrank
 from .baselines.topk import RankedList
-from .core.backends import SimRankBackend, available_backends
-from .core.diff_simrank import differential_simrank
+from .core.backends import SimRankBackend
 from .core.instrumentation import Instrumentation
-from .core.oip_dsr import oip_dsr
-from .core.oip_sr import oip_sr
 from .core.result import SimRankResult
-from .engine.capabilities import MATRIX_TASKS, Capabilities
+from .engine.capabilities import (
+    METHODS,
+    MethodSpec,
+    available_methods,
+    method_spec,
+    register_method,
+    resolve_backend,
+)
 from .engine.config import EngineConfig
-from .exceptions import ConfigurationError
-from .extensions.prank import prank, prank_shared
+from .engine.engine import Engine
 
 __all__ = [
     "METHODS",
@@ -55,157 +55,6 @@ __all__ = [
     "simrank",
     "simrank_top_k",
 ]
-
-
-@dataclass(frozen=True)
-class MethodSpec:
-    """One dispatchable SimRank method: a solver plus its declared capabilities.
-
-    Attributes
-    ----------
-    name:
-        Canonical method name.
-    solver:
-        The underlying solver callable (``solver(graph, **params)``).
-    capabilities:
-        The method's :class:`~repro.engine.capabilities.Capabilities`
-        declaration — which task shapes it executes, which backends it can
-        honour, whether it parallelises, whether it needs Python adjacency,
-        whether it can reuse a prebuilt transition operator.  The planner
-        and the dispatch layer read *only* this record; there are no
-        per-method special cases.
-    """
-
-    name: str
-    solver: Callable[..., SimRankResult]
-    capabilities: Capabilities = Capabilities()
-
-    # Convenience accessors, mirroring the capability record.
-    @property
-    def backends(self) -> tuple[str, ...]:
-        return self.capabilities.backends
-
-    @property
-    def accepts_backend(self) -> bool:
-        return self.capabilities.accepts_backend
-
-    @property
-    def accepts_workers(self) -> bool:
-        return self.capabilities.accepts_workers
-
-    @property
-    def default_backend(self) -> Optional[str]:
-        return self.capabilities.default_backend
-
-    @property
-    def needs_adjacency(self) -> bool:
-        return self.capabilities.needs_adjacency
-
-
-METHODS: dict[str, MethodSpec] = {}
-"""Registry of dispatchable methods, keyed by canonical name."""
-
-
-def register_method(spec: MethodSpec) -> MethodSpec:
-    """Register ``spec`` (replacing any same-named method)."""
-    METHODS[spec.name] = spec
-    return spec
-
-
-register_method(
-    MethodSpec(
-        name="matrix",
-        solver=matrix_simrank,
-        capabilities=Capabilities(
-            tasks=MATRIX_TASKS,
-            backends=("dense", "sparse"),
-            accepts_backend=True,
-            accepts_workers=True,
-            needs_adjacency=False,
-            default_backend="sparse",
-            shares_transition=True,
-        ),
-    )
-)
-register_method(
-    MethodSpec(
-        name="mtx-svd",
-        solver=mtx_svd_simrank,
-        capabilities=Capabilities(backends=("sparse",), needs_adjacency=False),
-    )
-)
-register_method(
-    MethodSpec(
-        name="oip-sr",
-        solver=oip_sr,
-        capabilities=Capabilities(uses_partial_sums=True),
-    )
-)
-register_method(
-    MethodSpec(
-        name="oip-dsr",
-        solver=oip_dsr,
-        capabilities=Capabilities(uses_partial_sums=True),
-    )
-)
-register_method(MethodSpec(name="psum", solver=psum_simrank))
-register_method(MethodSpec(name="naive", solver=naive_simrank))
-register_method(MethodSpec(name="monte-carlo", solver=monte_carlo_simrank))
-register_method(
-    MethodSpec(
-        name="diff-matrix",
-        solver=differential_simrank,
-        capabilities=Capabilities(needs_adjacency=False),
-    )
-)
-register_method(MethodSpec(name="p-rank", solver=prank))
-register_method(MethodSpec(name="p-rank-shared", solver=prank_shared))
-
-_ALIASES = {
-    "matrix-sr": "matrix",
-    "mtx-sr": "mtx-svd",
-    "psum-sr": "psum",
-}
-
-
-def available_methods() -> tuple[str, ...]:
-    """Return the canonical method names, sorted."""
-    return tuple(sorted(METHODS))
-
-
-def method_spec(method: str) -> MethodSpec:
-    """Resolve ``method`` (canonical name or alias) to its :class:`MethodSpec`."""
-    canonical = _ALIASES.get(method, method)
-    try:
-        return METHODS[canonical]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown method {method!r}; available: {', '.join(available_methods())}"
-        ) from None
-
-
-def _resolve_backend(spec: MethodSpec, backend) -> Optional[str]:
-    """The one backend resolver every entry point shares.
-
-    ``None`` means the method default; instances resolve to their name;
-    unknown names raise :class:`~repro.exceptions.ConfigurationError`, as
-    does naming a backend a backend-agnostic method cannot honour.
-    """
-    if backend is None:
-        return spec.default_backend
-    name = backend.name if isinstance(backend, SimRankBackend) else backend
-    if name not in available_backends():
-        raise ConfigurationError(
-            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
-        )
-    # Methods that forward `backend=` accept any registered backend (that is
-    # the plug-in point); only backend-agnostic methods pin a declared set.
-    if not spec.accepts_backend and name not in spec.backends:
-        raise ConfigurationError(
-            f"method {spec.name!r} does not support backend {name!r}; "
-            f"it supports: {', '.join(spec.backends)}"
-        )
-    return name
 
 
 def simrank(
@@ -247,10 +96,8 @@ def simrank(
         Forwarded verbatim to the underlying solver (``damping``,
         ``iterations``, ``accuracy``, ...).
     """
-    from .engine.engine import Engine  # lazy: api <-> engine import seam
-
     spec = method_spec(method)
-    resolved = _resolve_backend(spec, backend)
+    resolved = resolve_backend(spec, backend)
     config = EngineConfig(method=spec.name, backend=resolved, workers=workers)
     with Engine(graph, config) as engine:
         return engine.all_pairs(**params)
@@ -314,9 +161,7 @@ def simrank_top_k(
     instrumentation:
         Optional instrumentation collector to record costs into.
     """
-    from .engine.engine import Engine  # lazy: api <-> engine import seam
-
-    resolved = _resolve_backend(METHODS["matrix"], backend)
+    resolved = resolve_backend(METHODS["matrix"], backend)
     config = EngineConfig(
         method="matrix",
         backend=resolved,

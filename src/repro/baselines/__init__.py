@@ -5,13 +5,8 @@ from .monte_carlo import estimate_pair, monte_carlo_simrank, sample_fingerprints
 from .mtx_svd_sr import mtx_svd_simrank
 from .naive import naive_simrank
 from .psum_sr import essential_pair_mask, psum_simrank
-from .single_pair import single_pair_simrank, single_source_simrank
-from .topk import (
-    RankedList,
-    ranking_positions,
-    top_k_from_result,
-    top_k_single_source,
-)
+from .single_pair import single_pair_simrank
+from .topk import RankedList, ranking_positions, top_k_from_result
 
 __all__ = [
     "matrix_simrank",
@@ -23,9 +18,7 @@ __all__ = [
     "essential_pair_mask",
     "psum_simrank",
     "single_pair_simrank",
-    "single_source_simrank",
     "RankedList",
     "ranking_positions",
     "top_k_from_result",
-    "top_k_single_source",
 ]

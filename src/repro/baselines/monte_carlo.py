@@ -29,9 +29,8 @@ pass; exact alignment matters when rankings are compared entry-for-entry.
 draws their next in-neighbours with one vectorised pick from the in-neighbour
 CSR (one ``rng`` call per step, not one per walk per vertex), and estimation
 detects meetings by broadcasting whole vertex blocks against the fingerprint
-array — the per-walk Python loops of the original implementation survive
-only as :func:`sample_fingerprints_reference`, kept as the statistical
-regression baseline.
+array.  The per-walk Python loop of the original implementation is kept in
+the test suite as the statistical regression oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from ..graph.matrices import adjacency_matrix
 __all__ = [
     "monte_carlo_simrank",
     "sample_fingerprints",
-    "sample_fingerprints_reference",
     "estimate_pair",
 ]
 
@@ -100,9 +98,9 @@ def sample_fingerprints(
     with a single vectorised ``rng.integers`` call against the in-neighbour
     CSR, so the Python-level loop is ``O(walk_length)`` — independent of the
     walk count and the graph size.  Identical seeds produce identical walks
-    across runs; the draw order differs from
-    :func:`sample_fingerprints_reference`, so the two samplers agree
-    statistically (same walk distribution), not bitwise.
+    across runs; the draw order differs from the original per-vertex
+    loop, so the two samplers agree statistically (same walk
+    distribution), not bitwise.
     """
     _validate_walk_parameters(num_walks, walk_length)
     rng = np.random.default_rng(seed)
@@ -131,45 +129,6 @@ def sample_fingerprints(
         current[live] = hops
         flat[live, step] = hops
         live = live[degrees[hops] > 0]
-    return walks
-
-
-def sample_fingerprints_reference(
-    graph,
-    num_walks: int,
-    walk_length: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """The original per-vertex-per-step sampling loop (seed implementation).
-
-    Kept verbatim as the behavioural baseline: the regression tests check
-    that :func:`sample_fingerprints` matches it statistically (same mean
-    error against the exact scores) and the large-graph benchmark measures
-    the vectorised sampler's speed-up against it.  It is interpreter-bound —
-    ``num_walks × n × walk_length`` Python iterations — and unusable beyond
-    toy graphs.
-    """
-    _validate_walk_parameters(num_walks, walk_length)
-    rng = np.random.default_rng(seed)
-    n = graph.num_vertices
-    in_lists = [
-        np.asarray(graph.in_neighbors(vertex), dtype=np.int64)
-        for vertex in graph.vertices()
-    ]
-    walks = np.full((num_walks, n, walk_length + 1), -1, dtype=np.int64)
-    walks[:, :, 0] = np.arange(n)[np.newaxis, :]
-    for round_index in range(num_walks):
-        for step in range(1, walk_length + 1):
-            for vertex in range(n):
-                current = walks[round_index, vertex, step - 1]
-                if current < 0:
-                    continue
-                neighbors = in_lists[int(current)]
-                if neighbors.size == 0:
-                    continue
-                walks[round_index, vertex, step] = neighbors[
-                    rng.integers(0, neighbors.size)
-                ]
     return walks
 
 

@@ -1,15 +1,15 @@
-"""Single-pair and single-source SimRank (in the spirit of Li et al., SDM 2010).
+"""Single-pair SimRank (in the spirit of Li et al., SDM 2010).
 
-When only one similarity value (or one row) is needed, materialising the full
-``n × n`` matrix is wasteful.  Both routines here work from the series
-expansion of the matrix-form SimRank (Eq. 12):
+When only one similarity value is needed, materialising the full ``n × n``
+matrix is wasteful.  The routine here works from the series expansion of
+the matrix-form SimRank (Eq. 12):
 
 ``s(a, b) = (1 − C) Σ_{i≥0} Cⁱ · ⟨(Qᵀ)ⁱ e_a, (Qᵀ)ⁱ e_b⟩``
 
-so a single pair needs two sparse matrix–vector products per term, and a
-single source needs ``O(K²)`` of them.  The scores follow the matrix-form
-convention (diagonal not re-pinned); rankings and relative comparisons match
-the full solvers, which is what the top-k workloads need.
+so a single pair needs two sparse matrix–vector products per term.  The
+scores follow the matrix-form convention (diagonal not re-pinned).  Whole
+rows — single-source and top-k queries — come from the batched Horner
+kernel :meth:`~repro.core.backends.SimRankBackend.similarity_rows`.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.instrumentation import Instrumentation
 from ..core.iteration_bounds import conventional_iterations
 from ..core.result import validate_damping, validate_iterations
 from ..graph.digraph import DiGraph
 from ..graph.matrices import backward_transition_matrix
 
-__all__ = ["single_pair_simrank", "single_source_simrank"]
+__all__ = ["single_pair_simrank"]
 
 
 def single_pair_simrank(
@@ -76,45 +75,3 @@ def single_pair_simrank(
         coefficient *= damping
     return score
 
-
-def single_source_simrank(
-    graph: DiGraph,
-    query: object,
-    damping: float = 0.6,
-    iterations: Optional[int] = None,
-    accuracy: float = 1e-3,
-    instrumentation: Optional[Instrumentation] = None,
-) -> np.ndarray:
-    """Return the similarity row ``s(query, ·)`` from the series expansion.
-
-    The row is computed as ``(1 − C) Σ Cⁱ · Qⁱ w_i`` with
-    ``w_i = (Qᵀ)ⁱ e_query``, costing ``O(K²)`` sparse matrix–vector products
-    and ``O(n)`` memory — no ``n × n`` matrix is ever formed.
-    """
-    damping = validate_damping(damping)
-    if iterations is None:
-        iterations = conventional_iterations(accuracy, damping)
-    iterations = validate_iterations(iterations)
-    instrumentation = instrumentation or Instrumentation()
-
-    index = graph.index_of(query)
-    transition = backward_transition_matrix(graph)
-    transition_t = transition.T.tocsr()
-    n = graph.num_vertices
-
-    with instrumentation.timer.phase("single_source"):
-        row = np.zeros(n, dtype=np.float64)
-        walker = np.zeros(n, dtype=np.float64)
-        walker[index] = 1.0
-        coefficient = 1.0 - damping
-        for term in range(iterations + 1):
-            # Push the length-`term` walk distribution back down to the row.
-            contribution = walker
-            for _ in range(term):
-                contribution = transition @ contribution
-            row += coefficient * contribution
-            instrumentation.operations.add("single_source", (term + 1) * n)
-            walker = transition_t @ walker
-            coefficient *= damping
-    row[index] = 1.0
-    return row

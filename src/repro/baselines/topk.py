@@ -3,9 +3,9 @@
 The paper's quality experiments issue *top-k queries*: given a query author,
 return the ``k`` vertices with the highest SimRank score and compare the
 ranking produced by OIP-DSR against the conventional OIP-SR ranking.  These
-helpers extract such rankings either from a full
-:class:`~repro.core.result.SimRankResult` or directly from a single-source
-computation that never materialises the full matrix.
+helpers extract such rankings from a full
+:class:`~repro.core.result.SimRankResult`; :func:`repro.simrank_top_k`
+answers them without materialising the full matrix.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from collections.abc import Hashable
 from dataclasses import dataclass
 
 from ..core.result import SimRankResult
-from ..graph.digraph import DiGraph
-from .single_pair import single_source_simrank
 
-__all__ = ["RankedList", "top_k_from_result", "top_k_single_source", "ranking_positions"]
+__all__ = ["RankedList", "top_k_from_result", "ranking_positions"]
 
 
 @dataclass(frozen=True)
@@ -44,40 +42,6 @@ def top_k_from_result(
 ) -> RankedList:
     """Return the top-``k`` ranking for ``query`` from a full result matrix."""
     entries = result.top_k(query, k=k, include_self=include_self)
-    return RankedList(query=query, entries=tuple(entries))
-
-
-def top_k_single_source(
-    graph: DiGraph,
-    query: Hashable,
-    k: int = 10,
-    damping: float = 0.6,
-    iterations: int | None = None,
-    accuracy: float = 1e-3,
-    include_self: bool = False,
-) -> RankedList:
-    """Return the top-``k`` ranking for ``query`` without an ``n × n`` matrix.
-
-    Uses the series-based single-source computation, so memory stays ``O(n)``
-    — the regime Lee et al.'s top-k work targets and the natural choice when
-    only a handful of queries are issued against a large graph.
-    """
-    row = single_source_simrank(
-        graph,
-        query,
-        damping=damping,
-        iterations=iterations,
-        accuracy=accuracy,
-    )
-    query_index = graph.index_of(query)
-    order = sorted(range(graph.num_vertices), key=lambda j: (-float(row[j]), j))
-    entries: list[tuple[Hashable, float]] = []
-    for candidate in order:
-        if not include_self and candidate == query_index:
-            continue
-        entries.append((graph.label_of(candidate), float(row[candidate])))
-        if len(entries) == k:
-            break
     return RankedList(query=query, entries=tuple(entries))
 
 

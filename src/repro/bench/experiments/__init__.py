@@ -10,7 +10,6 @@ entry point, so each figure can be reproduced on either compute backend.
 from . import (
     ablations,
     backends,
-    engine_parity,
     fig5,
     fig6a,
     fig6b,
@@ -28,7 +27,6 @@ from . import (
 __all__ = [
     "ablations",
     "backends",
-    "engine_parity",
     "fig5",
     "fig6a",
     "fig6b",

@@ -5,9 +5,9 @@ scenario end to end, the regime the paper actually targets (web-BerkStan,
 patent citations — graphs that do not fit a per-line Python loop or a fully
 resident index build).  Three phases over one SNAP-fixture graph:
 
-* **ingest** — parse the on-disk SNAP text fixture with the per-line
-  reference parser, the chunked NumPy parser and the streaming
-  ``EdgeListGraph`` reader; report seconds and edges/second for each.
+* **ingest** — parse the on-disk SNAP text fixture with the chunked NumPy
+  parser and the streaming ``EdgeListGraph`` reader; report seconds and
+  edges/second for each.
 * **build** — build the truncated serving index fully in-core, then again
   under a constrained ``memory_budget`` (spilling completed row segments to
   temporary ``.npz`` files and merge-streaming them back).  The two stores
@@ -17,9 +17,7 @@ resident index build).  Three phases over one SNAP-fixture graph:
 * **approx** — build a :class:`~repro.service.FingerprintIndex` and serve a
   query sample through the service's Monte-Carlo tier next to the exact
   compute tier, reporting latency, memory and the top-k ranking overlap
-  (the run raises below ``MIN_OVERLAP``).  A sampler micro-benchmark pits
-  the vectorised :func:`~repro.baselines.monte_carlo.sample_fingerprints`
-  against the interpreter-bound reference loop on identical parameters.
+  (the run raises below ``MIN_OVERLAP``).
 
 The final note records the process's peak RSS over the whole run.
 """
@@ -35,12 +33,14 @@ from typing import Optional
 
 import numpy as np
 
-from ...baselines.monte_carlo import (
-    sample_fingerprints,
-    sample_fingerprints_reference,
-)
 from ...graph.io import read_edge_list, read_edge_list_streamed
-from ...service import FingerprintIndex, SimilarityService, SpillStats, build_index
+from ...service import (
+    FingerprintIndex,
+    QueryRequest,
+    SimilarityService,
+    SpillStats,
+    build_index,
+)
 from ...workloads import snap_fixture_path, zipf_query_stream
 from ..runner import ExperimentReport
 
@@ -117,20 +117,13 @@ def run(
         file_mb = Path(fixture).stat().st_size / 1e6
 
         parsers = {
-            "ingest-python": lambda: read_edge_list(fixture, engine="python"),
-            "ingest-chunked": lambda: read_edge_list(fixture, engine="chunked"),
+            "ingest-chunked": lambda: read_edge_list(fixture),
             "ingest-streamed": lambda: read_edge_list_streamed(fixture),
         }
-        graph = None
-        python_seconds = None
         for row_name, parser in parsers.items():
             started = time.perf_counter()
             parsed = parser()
             elapsed = time.perf_counter() - started
-            if row_name == "ingest-python":
-                python_seconds = elapsed
-            if row_name == "ingest-streamed":
-                graph = parsed  # the EdgeListGraph feeds the later phases
             report.add_row(
                 {
                     "phase": row_name,
@@ -138,14 +131,11 @@ def run(
                     "m": parsed.num_edges,
                     "seconds": round(elapsed, 4),
                     "throughput": round(parsed.num_edges / max(elapsed, 1e-9)),
-                    "speedup_vs_python": round(python_seconds / max(elapsed, 1e-9), 1)
-                    if python_seconds is not None
-                    else "",
                     "peak_mb": "",
                     "detail": "",
                 }
             )
-        assert graph is not None
+        graph = parsed  # the streamed EdgeListGraph feeds the later phases
         report.add_note(
             f"fixture: {graph.num_vertices} vertices, {graph.num_edges} edge "
             f"samples, {file_mb:.1f} MB SNAP text (written in "
@@ -174,7 +164,6 @@ def run(
                 "m": graph.num_edges,
                 "seconds": round(in_core_seconds, 3),
                 "throughput": round(graph.num_vertices / in_core_seconds, 1),
-                "speedup_vs_python": "",
                 "peak_mb": round(in_core_peak / 1e6, 2),
                 "detail": f"{in_core.num_stored_scores} scores, "
                 f"{in_core.memory_bytes() / 1e6:.2f} MB store",
@@ -200,7 +189,6 @@ def run(
                 "m": graph.num_edges,
                 "seconds": round(ooc_seconds, 3),
                 "throughput": round(graph.num_vertices / ooc_seconds, 1),
-                "speedup_vs_python": "",
                 "peak_mb": round(ooc_peak / 1e6, 2),
                 "detail": f"budget {memory_budget} B, {spill.segments} segments, "
                 f"{spill.spilled_bytes / 1e6:.2f} MB through disk, "
@@ -245,7 +233,6 @@ def run(
                 "m": graph.num_edges,
                 "seconds": round(fp_seconds, 3),
                 "throughput": round(graph.num_vertices / fp_seconds, 1),
-                "speedup_vs_python": "",
                 "peak_mb": round(fp_peak / 1e6, 2),
                 "detail": f"{num_walks} walks x length "
                 f"{fingerprints.walk_length}, head {head_iterations}, "
@@ -272,7 +259,7 @@ def run(
         )
         overlaps = []
         for query in sample:
-            approximate = approx.top_k(query, approx=True)
+            approximate = approx.query(QueryRequest(query=query, approx=True))
             reference = exact.top_k(query)
             compute_only.top_k(query)
             overlaps.append(
@@ -288,7 +275,6 @@ def run(
                 "m": graph.num_edges,
                 "seconds": round(approx_mean, 5),
                 "throughput": round(1.0 / approx_mean, 1),
-                "speedup_vs_python": "",
                 "peak_mb": "",
                 "detail": f"top-{k} overlap vs exact {mean_overlap:.3f} "
                 f"(min {min(overlaps):.1f}) over {len(sample)} queries, "
@@ -302,7 +288,6 @@ def run(
                 "m": graph.num_edges,
                 "seconds": round(compute_mean, 5),
                 "throughput": round(1.0 / compute_mean, 1),
-                "speedup_vs_python": "",
                 "peak_mb": "",
                 "detail": "on-demand exact rows (no index, no cache)",
             }
@@ -317,43 +302,6 @@ def run(
             f"approx tier answered {snapshot['approx_hits']}/"
             f"{snapshot['queries']} queries; mean top-{k} overlap vs exact "
             f"{mean_overlap:.3f} (floor {MIN_OVERLAP})"
-        )
-
-        # Sampler micro-benchmark: vectorised vs the interpreter-bound seed
-        # loop, identical parameters (small round count — the reference is
-        # the bottleneck being measured).
-        bench_walks = 4
-        started = time.perf_counter()
-        sample_fingerprints(graph, bench_walks, fingerprints.walk_length, seed=5)
-        vectorised_seconds = time.perf_counter() - started
-        reference_graph = (
-            graph.to_digraph() if hasattr(graph, "to_digraph") else graph
-        )
-        started = time.perf_counter()
-        sample_fingerprints_reference(
-            reference_graph, bench_walks, fingerprints.walk_length, seed=5
-        )
-        reference_seconds = time.perf_counter() - started
-        sampler_speedup = reference_seconds / max(vectorised_seconds, 1e-9)
-        report.add_row(
-            {
-                "phase": "sampler-micro",
-                "n": graph.num_vertices,
-                "m": graph.num_edges,
-                "seconds": round(vectorised_seconds, 4),
-                "throughput": round(
-                    bench_walks * graph.num_vertices / vectorised_seconds, 1
-                ),
-                "speedup_vs_python": round(sampler_speedup, 1),
-                "peak_mb": "",
-                "detail": f"reference loop {reference_seconds:.3f}s for "
-                f"{bench_walks} walks x {graph.num_vertices} vertices",
-            }
-        )
-        report.add_note(
-            f"vectorised sampler {sampler_speedup:.0f}x the seed per-vertex "
-            f"loop at identical parameters ({bench_walks} walks, length "
-            f"{fingerprints.walk_length})"
         )
 
     peak_rss = _peak_rss_mb()

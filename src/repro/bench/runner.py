@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..api import method_spec, simrank
+from ..api import simrank
+from ..engine.capabilities import method_spec
 from ..core.backends import get_backend
 from ..baselines.matrix_sr import matrix_simrank
 from ..baselines.mtx_svd_sr import mtx_svd_simrank

@@ -40,11 +40,10 @@ out-of-core index build under a byte budget, Monte-Carlo approximate tier)::
 
 Ask the engine's cost-based planner what it would run — method, backend,
 workers, serving tier and estimated cost per task shape — without running
-anything, and check the two public surfaces stay bit-identical::
+anything::
 
     repro-simrank explain --rmat-scale 11 --workers 4
     repro-simrank explain --memory-budget 64K --json plan.json
-    repro-simrank engine-parity --quick
 
 Calibrate this host — measure the real per-kernel rates the planner's
 static weights only guess at — and price plans with the measured profile
@@ -75,7 +74,6 @@ from collections.abc import Sequence
 from .bench.experiments import (
     ablations,
     backends,
-    engine_parity,
     fig5,
     fig6a,
     fig6b,
@@ -114,7 +112,6 @@ _FIGURE_RUNNERS = {
     "ablation-budget": ablations.run_candidate_budget,
     "ablation-sharing": ablations.run_sharing_levels,
     "bench-backends": backends.run,
-    "engine-parity": engine_parity.run,
     "large-graph": large_graph.run,
     "remote-serving": remote_serving.run,
     "scaling": scaling.run,

@@ -145,10 +145,11 @@ class SimRankBackend(abc.ABC):
         full ``n × n`` matrix is never formed.
 
         The rows follow the matrix-form convention (Eq. 3 fixed point) except
-        that each query's self-similarity is set to 1, matching
-        :func:`~repro.baselines.single_pair.single_source_simrank`.  They
-        agree with :meth:`iterate` (``diagonal="matrix"``) off the diagonal
-        up to the truncation tail ``C^{K+1}``.
+        that each query's self-similarity is set to 1.  They agree with
+        :meth:`iterate` (``diagonal="matrix"``) off the diagonal up to the
+        truncation tail ``C^{K+1}``, and with the direct ``O(K²)``
+        evaluation of the same series to rounding (the test suite pins
+        this kernel to that oracle).
         """
         indices = np.asarray(indices, dtype=np.int64).ravel()
         operator = transition.matrix

@@ -39,6 +39,7 @@ from .cost_model import (
     StaticCostModel,
     resolve_cost_model,
 )
+from .engine import ArtifactCounters, Engine
 from .planner import ExecutionPlan, GraphStats, TaskPlan, plan_all, plan_task
 
 __all__ = [
@@ -63,13 +64,3 @@ __all__ = [
     "resolve_cost_model",
 ]
 
-
-def __getattr__(name: str):
-    # `Engine` imports `repro.api` (which itself imports this package for
-    # the Capabilities registry); loading it lazily keeps the import graph
-    # acyclic while `from repro.engine import Engine` keeps working.
-    if name in ("Engine", "ArtifactCounters"):
-        from . import engine as _engine
-
-        return getattr(_engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,27 +11,47 @@ compute backend describing the operator it materialises.  The planner
 an execution plan, so adding a method or backend never means touching the
 planner: register a capability record and the cost model covers it.
 
-Methods register their capabilities through their
-:class:`~repro.api.MethodSpec` (``repro.api.register_method``); backends
-register :class:`BackendTraits` here via :func:`register_backend_traits`
-(the two built-in backends are pre-registered).
+The method registry lives here too: each :class:`MethodSpec` pairs a
+solver with its :class:`Capabilities`, :func:`register_method` is the
+plug-in point, and :func:`method_spec` / :func:`resolve_backend` are the
+one name/backend resolution every entry point (``repro.api``, the engine,
+the planner, the serving index, the benchmark runner) shares.  Backends
+register :class:`BackendTraits` via :func:`register_backend_traits` (the
+two built-in backends are pre-registered).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
+from ..baselines.matrix_sr import matrix_simrank
+from ..baselines.monte_carlo import monte_carlo_simrank
+from ..baselines.mtx_svd_sr import mtx_svd_simrank
+from ..baselines.naive import naive_simrank
+from ..baselines.psum_sr import psum_simrank
+from ..core.backends import SimRankBackend, available_backends
+from ..core.diff_simrank import differential_simrank
+from ..core.oip_dsr import oip_dsr
+from ..core.oip_sr import oip_sr
+from ..core.result import SimRankResult
 from ..exceptions import ConfigurationError
+from ..extensions.prank import prank, prank_shared
 
 __all__ = [
     "ALL_TASKS",
     "BACKEND_TRAITS",
+    "METHODS",
     "BackendTraits",
     "Capabilities",
     "MATRIX_TASKS",
+    "MethodSpec",
+    "available_methods",
     "backend_traits",
+    "method_spec",
     "register_backend_traits",
+    "register_method",
+    "resolve_backend",
 ]
 
 ALL_TASKS = ("all_pairs", "top_k", "pair", "serve")
@@ -220,5 +240,132 @@ register_backend_traits(
 )
 
 MATRIX_TASKS = frozenset(ALL_TASKS)
-"""The matrix-form series path answers every task shape (used by the
-method registry in :mod:`repro.api`)."""
+"""The matrix-form series path answers every task shape."""
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One dispatchable SimRank method: a solver plus its declared capabilities.
+
+    Attributes
+    ----------
+    name:
+        Canonical method name.
+    solver:
+        The underlying solver callable (``solver(graph, **params)``).
+    capabilities:
+        The method's :class:`Capabilities` declaration.  The planner and
+        the dispatch layer read *only* this record; there are no
+        per-method special cases.
+    """
+
+    name: str
+    solver: Callable[..., SimRankResult]
+    capabilities: Capabilities = Capabilities()
+
+
+METHODS: dict[str, MethodSpec] = {}
+"""Registry of dispatchable methods, keyed by canonical name."""
+
+
+def register_method(spec: MethodSpec) -> MethodSpec:
+    """Register ``spec`` (replacing any same-named method)."""
+    METHODS[spec.name] = spec
+    return spec
+
+
+register_method(
+    MethodSpec(
+        name="matrix",
+        solver=matrix_simrank,
+        capabilities=Capabilities(
+            tasks=MATRIX_TASKS,
+            backends=("dense", "sparse"),
+            accepts_backend=True,
+            accepts_workers=True,
+            needs_adjacency=False,
+            default_backend="sparse",
+            shares_transition=True,
+        ),
+    )
+)
+register_method(
+    MethodSpec(
+        name="mtx-svd",
+        solver=mtx_svd_simrank,
+        capabilities=Capabilities(backends=("sparse",), needs_adjacency=False),
+    )
+)
+register_method(
+    MethodSpec(
+        name="oip-sr",
+        solver=oip_sr,
+        capabilities=Capabilities(uses_partial_sums=True),
+    )
+)
+register_method(
+    MethodSpec(
+        name="oip-dsr",
+        solver=oip_dsr,
+        capabilities=Capabilities(uses_partial_sums=True),
+    )
+)
+register_method(MethodSpec(name="psum", solver=psum_simrank))
+register_method(MethodSpec(name="naive", solver=naive_simrank))
+register_method(MethodSpec(name="monte-carlo", solver=monte_carlo_simrank))
+register_method(
+    MethodSpec(
+        name="diff-matrix",
+        solver=differential_simrank,
+        capabilities=Capabilities(needs_adjacency=False),
+    )
+)
+register_method(MethodSpec(name="p-rank", solver=prank))
+register_method(MethodSpec(name="p-rank-shared", solver=prank_shared))
+
+_ALIASES = {
+    "matrix-sr": "matrix",
+    "mtx-sr": "mtx-svd",
+    "psum-sr": "psum",
+}
+
+
+def available_methods() -> tuple[str, ...]:
+    """Return the canonical method names, sorted."""
+    return tuple(sorted(METHODS))
+
+
+def method_spec(method: str) -> MethodSpec:
+    """Resolve ``method`` (canonical name or alias) to its :class:`MethodSpec`."""
+    canonical = _ALIASES.get(method, method)
+    try:
+        return METHODS[canonical]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown method {method!r}; available: {', '.join(available_methods())}"
+        ) from None
+
+
+def resolve_backend(spec: MethodSpec, backend) -> Optional[str]:
+    """The one backend resolver every entry point shares.
+
+    ``None`` means the method default; instances resolve to their name;
+    unknown names raise :class:`~repro.exceptions.ConfigurationError`, as
+    does naming a backend a backend-agnostic method cannot honour.
+    """
+    capabilities = spec.capabilities
+    if backend is None:
+        return capabilities.default_backend
+    name = backend.name if isinstance(backend, SimRankBackend) else backend
+    if name not in available_backends():
+        raise ConfigurationError(
+            f"unknown backend {name!r}; available: {', '.join(available_backends())}"
+        )
+    # Methods that forward `backend=` accept any registered backend (that is
+    # the plug-in point); only backend-agnostic methods pin a declared set.
+    if not capabilities.accepts_backend and name not in capabilities.backends:
+        raise ConfigurationError(
+            f"method {spec.name!r} does not support backend {name!r}; "
+            f"it supports: {', '.join(capabilities.backends)}"
+        )
+    return name

@@ -41,7 +41,6 @@ from typing import Hashable, Optional, Sequence, Union
 
 import numpy as np
 
-from ..api import METHODS, _resolve_backend
 from ..baselines.topk import RankedList
 from ..core.backends import get_backend
 from ..core.instrumentation import Instrumentation
@@ -54,6 +53,7 @@ from ..parallel import ParallelExecutor, resolve_workers
 from ..service.fingerprints import FingerprintIndex
 from ..service.index import build_index as _build_index
 from ..service.service import SimilarityService
+from .capabilities import METHODS, resolve_backend
 from .config import EngineConfig
 from .cost_model import CostModel, resolve_cost_model
 from .planner import ExecutionPlan, GraphStats, TaskPlan, plan_all, plan_task
@@ -316,7 +316,7 @@ class Engine:
         """The backend the shared series artifacts are built on."""
         spec = METHODS["matrix"]
         if self.config.backend is not None:
-            return _resolve_backend(spec, self.config.backend)
+            return resolve_backend(spec, self.config.backend)
         return self._plan("top_k").backend
 
     def transition(self):
@@ -605,51 +605,8 @@ class Engine:
         break a legitimate session).
         """
         plan = self._plan("serve")
-        if (
-            self.config.catalog_path is not None
-            and self._index is None
-            and self._version == 0
-        ):
-            from ..catalog import IndexCatalog
-
-            if IndexCatalog.is_catalog(self.config.catalog_path):
-                try:
-                    catalog = IndexCatalog.open(self.config.catalog_path)
-                    catalog.validate(
-                        self.current_graph(),
-                        damping=self.config.damping,
-                        iterations=self.config.resolved_iterations(),
-                        index_k=self.config.index_k,
-                    )
-                except ConfigurationError as error:
-                    warnings.warn(
-                        f"ignoring catalog at {self.config.catalog_path}: "
-                        f"{error}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                else:
-                    with self._lock:
-                        self.counters.catalog_opens += 1
-                    # No shared transition handed over: the catalog start
-                    # is the cheap path (mmap open, no operator build),
-                    # and the catalog's replayed edge log may supersede
-                    # this session's graph anyway.
-                    return SimilarityService(
-                        self.current_graph(),
-                        k=k,
-                        damping=self.config.damping,
-                        iterations=self.config.resolved_iterations(),
-                        backend=plan.backend,
-                        cache_size=self.config.cache_size,
-                        max_batch=self.config.max_batch,
-                        workers=plan.workers,
-                        fingerprints=self._fingerprints,
-                        label_graph=self._graph,
-                        catalog=catalog,
-                        plan_digest=self._config_digest,
-                    )
-        if warm:
+        catalog = self._open_catalog()
+        if catalog is None and warm:
             if plan.tier == "index" and self._index is None:
                 self.build_index()
             elif plan.tier == "approx" and self._fingerprints is None:
@@ -665,10 +622,51 @@ class Engine:
             max_batch=self.config.max_batch,
             workers=plan.workers,
             fingerprints=self._fingerprints,
-            transition=self.transition(),
+            # No shared transition handed over on a catalog start: that is
+            # the cheap path (mmap open, no operator build), and the
+            # catalog's replayed edge log may supersede this session's
+            # graph anyway.
+            transition=None if catalog is not None else self.transition(),
             label_graph=self._graph,
+            catalog=catalog,
             plan_digest=self._config_digest,
         )
+
+    def _open_catalog(self):
+        """The configured catalog, if this session may serve straight from it.
+
+        Only an unmutated session with no in-memory index warm-starts; a
+        catalog that does not match the session's graph or configuration
+        warns and yields ``None`` (the ordinary serving path).
+        """
+        if (
+            self.config.catalog_path is None
+            or self._index is not None
+            or self._version != 0
+        ):
+            return None
+        from ..catalog import IndexCatalog
+
+        if not IndexCatalog.is_catalog(self.config.catalog_path):
+            return None
+        try:
+            catalog = IndexCatalog.open(self.config.catalog_path)
+            catalog.validate(
+                self.current_graph(),
+                damping=self.config.damping,
+                iterations=self.config.resolved_iterations(),
+                index_k=self.config.index_k,
+            )
+        except ConfigurationError as error:
+            warnings.warn(
+                f"ignoring catalog at {self.config.catalog_path}: {error}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return None
+        with self._lock:
+            self.counters.catalog_opens += 1
+        return catalog
 
     def server(
         self,

@@ -49,7 +49,13 @@ import numpy as np
 from ..core.transition_cost import scratch_cost, transition_cost
 from ..exceptions import ConfigurationError
 from ..parallel import resolve_workers
-from .capabilities import ALL_TASKS, backend_traits
+from .capabilities import (
+    ALL_TASKS,
+    METHODS,
+    backend_traits,
+    method_spec,
+    resolve_backend,
+)
 from .config import AUTO_METHOD, EngineConfig
 from .cost_model import (
     DENSE_BLAS_SPEEDUP,
@@ -349,8 +355,6 @@ def _resolve_method_and_backend(
     model: CostModel,
 ) -> tuple[str, Optional[str], list[str], set[str]]:
     """Select (method, backend) for ``task``, honouring explicit config."""
-    from ..api import METHODS, _resolve_backend, method_spec  # lazy: no cycle
-
     reasons: list[str] = []
     consulted: set[str] = set()
     if task == "all_pairs":
@@ -392,7 +396,7 @@ def _resolve_method_and_backend(
         )
 
     if config.backend is not None:
-        backend = _resolve_backend(spec, config.backend)
+        backend = resolve_backend(spec, config.backend)
         reasons.append(f"backend {backend!r} pinned by config")
     elif spec.capabilities.accepts_backend:
         backend, auto_reasons, auto_consulted = _auto_backend(
@@ -413,8 +417,6 @@ def _resolve_workers_for(
     task: str, method: str, config: EngineConfig
 ) -> tuple[int, list[str]]:
     """Worker count for ``task``; serial-only methods reject parallelism."""
-    from ..api import METHODS  # lazy: no cycle
-
     reasons: list[str] = []
     resolved = resolve_workers(config.workers)
     if resolved <= 1:
@@ -481,8 +483,6 @@ def plan_task(
         raise ConfigurationError(
             f"unknown task {task!r}; valid: {', '.join(ALL_TASKS)}"
         )
-    from ..api import METHODS  # lazy: no cycle
-
     model = cost_model if cost_model is not None else resolve_cost_model(config)
     iterations = config.resolved_iterations()
     n = stats.num_vertices

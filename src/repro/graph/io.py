@@ -11,13 +11,12 @@ Two formats are supported:
   labels (author names for the DBLP-analogue co-authorship graphs) so query
   workloads survive a round trip to disk.
 
-Edge-list reading has two engines.  The default ``"chunked"`` engine streams
-the file in blocks of lines, converts each block's ids with one vectorised
-NumPy string-to-``int64`` cast, and maintains the dense first-seen remapping
-incrementally — per-edge work is array work, not Python ``int()`` calls and
-dict lookups.  The ``"python"`` engine is the original per-line loop, kept as
-the behavioural reference (the property tests assert the two engines parse
-identically).  For large graphs, :func:`read_edge_list_streamed` feeds the
+Edge-list reading streams the file in blocks of lines, converts each
+block's ids with one vectorised NumPy string-to-``int64`` cast, and
+maintains the dense first-seen remapping incrementally — per-edge work is
+array work, not Python ``int()`` calls and dict lookups.  (The test suite
+keeps the original per-line parser as an oracle and asserts the two parse
+identically.)  For large graphs, :func:`read_edge_list_streamed` feeds the
 same blocks straight into an :class:`~repro.graph.edgelist.EdgeListGraph`
 without ever building Python adjacency — the ingestion path of the
 memory-bounded large-graph pipeline.
@@ -33,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from ..exceptions import GraphBuildError
-from .digraph import DiGraph, GraphBuilder
+from .digraph import DiGraph
 from .edgelist import EdgeListGraph
 
 __all__ = [
@@ -48,11 +47,8 @@ __all__ = [
 PathLike = Union[str, Path]
 
 DEFAULT_BLOCK_LINES = 1 << 16
-"""Lines parsed per block by the chunked engine — bounds parser memory at
-``O(block)`` regardless of file size."""
-
-READ_ENGINES = ("chunked", "python")
-"""Available :func:`read_edge_list` parse engines."""
+"""Lines parsed per block — bounds parser memory at ``O(block)`` regardless
+of file size."""
 
 
 def _parse_block(
@@ -64,8 +60,7 @@ def _parse_block(
     """Parse one block of raw lines into an ``(m, 2)`` raw-id array.
 
     Comment lines, blank lines and trailing inline comments are stripped;
-    tokens beyond the first two of a line are ignored (matching the per-line
-    reference parser).  Returns ``None`` when the block holds no edges.
+    tokens beyond the first two of a line are ignored.  Returns ``None`` when the block holds no edges.
     """
     tokens: list[str] = []
     for offset, line in enumerate(block):
@@ -129,8 +124,8 @@ class _DenseRemapper:
     """Incrementally remap arbitrary integer ids to dense first-seen order.
 
     Feeding the blocks of :func:`iter_edge_blocks` through :meth:`remap`
-    reproduces exactly the id assignment of the per-line reference parser
-    (``GraphBuilder`` registers ids in source-then-target, line-by-line
+    reproduces exactly the id assignment of a per-line parse through
+    ``GraphBuilder`` (ids registered in source-then-target, line-by-line
     order): within a block the first-seen order is recovered from
     ``np.unique``'s ``return_index``, and across blocks the mapping is
     carried in a dict keyed by raw id — ``O(vertices)`` Python work total,
@@ -147,7 +142,7 @@ class _DenseRemapper:
     def remap(self, pairs: np.ndarray) -> np.ndarray:
         """Return ``pairs`` with raw ids replaced by dense first-seen ids."""
         # Row-major ravel interleaves (source, target, source, ...) — the
-        # exact registration order of the per-line parser.
+        # exact registration order of a per-line parse.
         flat = pairs.ravel()
         unique, first_position, inverse = np.unique(
             flat, return_index=True, return_inverse=True
@@ -181,7 +176,6 @@ def read_edge_list(
     path: PathLike,
     comment_prefix: str = "#",
     name: str = "",
-    engine: str = "chunked",
     block_lines: int = DEFAULT_BLOCK_LINES,
 ) -> DiGraph:
     """Read a SNAP-style whitespace-separated edge list into a :class:`DiGraph`.
@@ -201,20 +195,10 @@ def read_edge_list(
         Comment marker (``"#"`` for SNAP dumps).
     name:
         Graph name (defaults to the file stem).
-    engine:
-        ``"chunked"`` (default) parses the file in blocks with vectorised
-        NumPy id conversion; ``"python"`` is the original per-line loop,
-        kept as the behavioural reference.  Both produce identical graphs.
     block_lines:
-        Lines per block for the chunked engine.
+        Lines parsed per vectorised block.
     """
     path = Path(path)
-    if engine not in READ_ENGINES:
-        raise GraphBuildError(
-            f"unknown read engine {engine!r}; available: {', '.join(READ_ENGINES)}"
-        )
-    if engine == "python":
-        return _read_edge_list_python(path, comment_prefix, name)
     remapper = _DenseRemapper()
     blocks = [
         remapper.remap(block)
@@ -228,28 +212,6 @@ def read_edge_list(
     # cost a numpy scalar conversion per edge, dwarfing the parse savings.
     edges = np.concatenate(blocks, axis=0).tolist()
     return DiGraph(remapper.num_vertices, edges, name=name or path.stem)
-
-
-def _read_edge_list_python(path: Path, comment_prefix: str, name: str) -> DiGraph:
-    """The original per-line reference parser (``engine="python"``)."""
-    builder = GraphBuilder(name=name or path.stem)
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            body = line
-            if comment_prefix in line:
-                body = line.split(comment_prefix, 1)[0]
-            parts = body.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise GraphBuildError(
-                    f"{path}:{line_number}: expected 'source target', "
-                    f"got {line.strip()!r}"
-                )
-            builder.add_edge(int(parts[0]), int(parts[1]))
-    if builder.num_edges == 0:
-        raise _no_edges_error(path)
-    return builder.build(keep_labels=False)
 
 
 def read_edge_list_streamed(

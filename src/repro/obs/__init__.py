@@ -14,7 +14,14 @@ from repro.obs.metrics import (
     MetricsRegistry,
     percentile,
 )
-from repro.obs.tracing import SlowQueryLog, Span, Trace, new_trace_id, span_names
+from repro.obs.tracing import (
+    SlowQueryLog,
+    Span,
+    Trace,
+    graft,
+    new_trace_id,
+    span_names,
+)
 from repro.obs.export import PeriodicEmitter, format_snapshot_line, render_snapshot
 
 __all__ = [
@@ -28,6 +35,7 @@ __all__ = [
     "Span",
     "Trace",
     "SlowQueryLog",
+    "graft",
     "new_trace_id",
     "span_names",
     "PeriodicEmitter",

@@ -20,7 +20,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-__all__ = ["Span", "Trace", "SlowQueryLog", "new_trace_id"]
+__all__ = ["Span", "Trace", "SlowQueryLog", "graft", "new_trace_id"]
 
 _id_counter = itertools.count(1)
 _id_lock = threading.Lock()
@@ -121,6 +121,42 @@ class Trace:
     def to_tree(self) -> Dict[str, object]:
         self.root.finish()
         return self.root.to_dict()
+
+
+def graft(parent: Dict[str, object], subtree: Dict[str, object],
+          offset_ms: float) -> Dict[str, object]:
+    """Append serialised ``subtree`` under serialised span ``parent``.
+
+    The subtree was serialised on its own: its root is span ``"1"`` at
+    ``start_ms`` 0.  Grafted, it becomes the next child of ``parent`` —
+    re-identified beneath it (``<parent>.<n>``, ``<parent>.<n>.1``, ...,
+    each with its ``parent_id``), carrying the parent's ``trace_id``, and
+    with every ``start_ms`` shifted by ``offset_ms`` (where the subtree's
+    root started, on the parent tree's time base).  ``subtree`` itself is
+    not modified; the grafted copy is returned.
+    """
+    children = parent.setdefault("children", [])
+    assert isinstance(children, list)
+    span_id = f"{parent['span_id']}.{len(children) + 1}"
+    grafted = _rebased(subtree, span_id, parent["span_id"],
+                       parent["trace_id"], offset_ms)
+    children.append(grafted)
+    return grafted
+
+
+def _rebased(tree: Dict[str, object], span_id: str, parent_id: object,
+             trace_id: object, offset_ms: float) -> Dict[str, object]:
+    copy = dict(tree)
+    copy["trace_id"] = trace_id
+    copy["span_id"] = span_id
+    copy["parent_id"] = parent_id
+    copy["start_ms"] = round(float(tree["start_ms"]) + offset_ms, 6)  # type: ignore[arg-type]
+    if tree.get("children"):
+        copy["children"] = [
+            _rebased(child, f"{span_id}.{position}", span_id, trace_id, offset_ms)
+            for position, child in enumerate(tree["children"], start=1)  # type: ignore[arg-type]
+        ]
+    return copy
 
 
 def _span_names(tree: Dict[str, object]) -> List[str]:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..exceptions import ConfigurationError
-from ..obs import MetricsRegistry, Trace
+from ..obs import MetricsRegistry, Trace, graft
 from ..service.requests import (
     PROTOCOL_VERSION,
     ErrorCode,
@@ -469,8 +469,8 @@ class SimilarityServer:
             requests.append(request)
         dispatch_started = time.perf_counter()
         try:
-            responses = await self._loop.run_in_executor(
-                None, self.service.query_many, requests
+            service_started, responses = await self._loop.run_in_executor(
+                None, self._query_many, requests
             )
         except Exception as error:  # noqa: BLE001 — every failure is typed below
             now = self._loop.time()
@@ -489,19 +489,34 @@ class SimilarityServer:
             self.slo.observe(now - item.admitted_at)
             if item.request.trace:
                 response = self._graft_trace(
-                    item, response, dispatch_started, dispatch_ended
+                    item, response, dispatch_started, dispatch_ended,
+                    service_started,
                 )
             if not item.future.done():
                 item.future.set_result(response)
 
-    def _graft_trace(self, item, response, dispatch_started, dispatch_ended):
+    def _query_many(self, requests):
+        """``service.query_many`` plus the clock reading it started at.
+
+        Runs in the executor; the reading (same process, same
+        ``perf_counter``) places a traced request's service subtree on the
+        request tree's time base.
+        """
+        return time.perf_counter(), self.service.query_many(requests)
+
+    def _graft_trace(
+        self, item, response, dispatch_started, dispatch_ended, service_started
+    ):
         """Wrap the service's span tree in the server-side spans.
 
         The result covers the full network path — admission (frame parse +
         validation), dispatch-queue wait, and the dispatcher's
         ``query_many`` call, with the service's own tree (tier probe →
-        batcher → kernel) nested under the dispatch span — and rides back
-        on the response's ``trace`` field.
+        batcher → kernel) grafted under the dispatch span — and rides back
+        on the response's ``trace`` field.  The grafted subtree is
+        re-identified beneath the dispatch span and its offsets rebased
+        onto the request root, so span ids stay unique and the whole tree
+        shares one time base.
         """
         service_tree = response.trace
         origin = (
@@ -524,7 +539,11 @@ class SimilarityServer:
         trace.root.finish(dispatch_ended)
         tree = trace.to_tree()
         if service_tree is not None:
-            tree["children"][-1].setdefault("children", []).append(service_tree)
+            graft(
+                tree["children"][-1],
+                service_tree,
+                (service_started - origin) * 1000.0,
+            )
         return replace(response, trace=tree)
 
     def metrics_payload(self) -> dict[str, object]:

@@ -28,7 +28,7 @@ from .requests import (
     QueryResponse,
     ServeError,
 )
-from .service import ServiceStats, SimilarityService, TierStats
+from .service import ServiceStats, SimilarityService
 from .spill import RowSpillAccumulator, SpillStats
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "ServiceStats",
     "SimilarityService",
     "SpillStats",
-    "TierStats",
     "build_index",
     "load_index",
     "save_index",

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..api import METHODS
+from ..engine.capabilities import METHODS
 from ..catalog.manifest import graph_fingerprint, index_config_digest
 from ..core.backends import SimRankBackend, get_backend
 from ..core.instrumentation import Instrumentation
@@ -37,7 +37,7 @@ __all__ = ["build_index", "load_index", "save_index"]
 
 def _resolve_backend(backend: Union[str, SimRankBackend, None]) -> SimRankBackend:
     if backend is None:
-        backend = METHODS["matrix"].default_backend
+        backend = METHODS["matrix"].capabilities.default_backend
     return get_backend(backend)
 
 

@@ -237,7 +237,7 @@ class ServeError(ReproError):
     def as_legacy(self) -> Exception:
         """The exception the pre-request-API entry points used to raise.
 
-        The deprecated ``top_k``-style adapters call this so existing
+        The plain ``top_k``/``top_k_many`` adapters call this so existing
         callers keep catching the exception types they always caught (see
         the README migration table); new code should catch
         :class:`ServeError` and switch on :attr:`code` instead.

@@ -59,8 +59,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
-from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import replace
@@ -75,8 +73,7 @@ from ..core.result import validate_damping, validate_iterations
 from ..core.similarity_store import SimilarityStore, ranked_entries, row_top_k
 from ..exceptions import ConfigurationError
 from ..graph.edgelist import EdgeListGraph, edge_list_from_pairs
-from ..obs import Counter, Histogram, MetricsRegistry, SlowQueryLog, Trace
-from ..obs.compat import warn_once
+from ..obs import MetricsRegistry, SlowQueryLog, Trace
 from ..parallel import ParallelExecutor, resolve_workers
 from .batcher import MicroBatcher
 from .cache import LRUCache
@@ -84,7 +81,7 @@ from .fingerprints import FingerprintIndex
 from .index import build_index as _build_index
 from .requests import ErrorCode, QueryRequest, QueryResponse, ServeError
 
-__all__ = ["ServiceStats", "SimilarityService", "TierStats"]
+__all__ = ["ServiceStats", "SimilarityService"]
 
 TIERS = ("index", "cache", "approx", "compute")
 """Answer tiers in their probe order (cache is probed first at run time
@@ -101,50 +98,6 @@ totals stream exactly forever; the sample window bounds memory for a
 long-lived service (retaining every sample would grow without limit)."""
 
 
-class TierStats:
-    """Hit count, streaming totals and recent latency samples for one tier.
-
-    Since the observability refactor this is a thin view over two registry
-    instruments — a ``tier_hits`` counter and a ``tier_latency_seconds``
-    histogram — but it exposes the historical attributes (``count``,
-    ``total``, ``seconds``) with bit-identical values: the histogram's
-    total accumulates ``+= elapsed`` in the same order the old dataclass
-    field did, and the sample window has the same ``SAMPLE_WINDOW`` bound.
-    """
-
-    __slots__ = ("_hits", "_latency")
-
-    def __init__(self, hits: Counter, latency: Histogram) -> None:
-        self._hits = hits
-        self._latency = latency
-
-    def record(self, elapsed: float) -> None:
-        self._hits.inc()
-        self._latency.observe(elapsed)
-
-    @property
-    def count(self) -> int:
-        return int(self._hits.value)
-
-    @property
-    def total(self) -> float:
-        return self._latency.total
-
-    @property
-    def seconds(self) -> deque:
-        """The bounded raw-sample window (read-only; do not mutate)."""
-        return self._latency._samples
-
-    @property
-    def total_seconds(self) -> float:
-        return self.total
-
-    @property
-    def mean_seconds(self) -> float:
-        count = self.count
-        return self.total / count if count else 0.0
-
-
 class ServiceStats:
     """Per-tier hit/latency statistics plus update counters.
 
@@ -156,7 +109,7 @@ class ServiceStats:
     instant even under concurrent recording — a :meth:`snapshot` taken
     mid-traffic is internally consistent.  The historical attributes
     (``queries``, ``updates``, ``refreshed_rows``) remain as properties
-    with bit-identical values; ``tiers`` is kept as a deprecated view.
+    with bit-identical values.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
@@ -165,12 +118,12 @@ class ServiceStats:
         self._queries = self.registry.counter("service_queries")
         self._updates = self.registry.counter("service_updates")
         self._refreshed_rows = self.registry.counter("service_refreshed_rows")
-        self._tiers = {
-            tier: TierStats(
-                self.registry.counter("tier_hits", tier=tier),
-                self.registry.histogram(
-                    "tier_latency_seconds", reservoir=SAMPLE_WINDOW, tier=tier
-                ),
+        self._tier_hits = {
+            tier: self.registry.counter("tier_hits", tier=tier) for tier in TIERS
+        }
+        self._tier_latency = {
+            tier: self.registry.histogram(
+                "tier_latency_seconds", reservoir=SAMPLE_WINDOW, tier=tier
             )
             for tier in TIERS
         }
@@ -187,23 +140,11 @@ class ServiceStats:
     def refreshed_rows(self) -> int:
         return int(self._refreshed_rows.value)
 
-    @property
-    def tiers(self) -> dict[str, TierStats]:
-        """Deprecated: read :meth:`snapshot` / :meth:`samples` or the
-        ``registry`` instruments instead."""
-        warn_once(
-            "ServiceStats.tiers",
-            "ServiceStats.tiers is deprecated; read snapshot()/samples() or "
-            "the tier_hits / tier_latency_seconds instruments on "
-            "ServiceStats.registry (see the README observability migration "
-            "table)",
-        )
-        return self._tiers
-
     def record(self, tier: str, elapsed: float) -> None:
         with self._lock:
             self._queries.inc()
-            self._tiers[tier].record(elapsed)
+            self._tier_hits[tier].inc()
+            self._tier_latency[tier].observe(elapsed)
 
     def note_update(self) -> None:
         """Count one effective graph mutation."""
@@ -217,7 +158,7 @@ class ServiceStats:
 
     def samples(self, tier: str) -> list[float]:
         """Raw latency samples (seconds) for one tier."""
-        return self._tiers[tier]._latency.samples()
+        return self._tier_latency[tier].samples()
 
     def snapshot(self) -> dict[str, object]:
         """A flat summary dict (counts, hit shares, mean latencies)."""
@@ -229,12 +170,12 @@ class ServiceStats:
                 "refreshed_rows": self.refreshed_rows,
             }
             for tier in TIERS:
-                stats = self._tiers[tier]
-                summary[f"{tier}_hits"] = stats.count
-                summary[f"{tier}_share"] = (
-                    stats.count / queries if queries else 0.0
+                hits = int(self._tier_hits[tier].value)
+                summary[f"{tier}_hits"] = hits
+                summary[f"{tier}_share"] = hits / queries if queries else 0.0
+                summary[f"{tier}_mean_seconds"] = (
+                    self._tier_latency[tier].total / hits if hits else 0.0
                 )
-                summary[f"{tier}_mean_seconds"] = stats.mean_seconds
             return summary
 
 
@@ -977,63 +918,25 @@ class SimilarityService:
         return [response for response in responses if response is not None]
 
     # ------------------------------------------------------------------ #
-    # Query path — deprecated kwarg adapters
+    # Query path — plain adapters
     # ------------------------------------------------------------------ #
-    def top_k(
-        self,
-        query: Hashable,
-        k: Optional[int] = None,
-        approx: Optional[bool] = None,
-        max_error: Optional[float] = None,
-    ) -> RankedList:
-        """Answer one top-k query through the tiered path.
+    def top_k(self, query: Hashable, k: Optional[int] = None) -> RankedList:
+        """Answer one exact-or-cached top-k query through the tiered path.
 
-        Thin adapter over :meth:`query`; the ``approx``/``max_error``
-        kwargs are deprecated in favour of the explicit
-        :class:`~repro.service.requests.QueryRequest` fields (see the
-        README migration table).  Errors keep their historical types
-        (``ConfigurationError``, ``VertexNotFoundError``); the request
-        pipeline's typed :class:`~repro.service.requests.ServeError` is
-        raised by :meth:`query`/:meth:`query_many` instead.
+        Thin adapter over :meth:`query_many`; per-request policy
+        (``approx``/``max_error``) lives on
+        :class:`~repro.service.requests.QueryRequest`.  Errors keep their
+        historical types (``ConfigurationError``, ``VertexNotFoundError``);
+        the request pipeline's typed
+        :class:`~repro.service.requests.ServeError` is raised by
+        :meth:`query`/:meth:`query_many` instead.
         """
-        return self._legacy_query_many(
-            [query], k=k, approx=approx, max_error=max_error
-        )[0]
+        return self.top_k_many([query], k)[0]
 
     def top_k_many(
-        self,
-        queries: Sequence[Hashable],
-        k: Optional[int] = None,
-        approx: Optional[bool] = None,
-        max_error: Optional[float] = None,
+        self, queries: Sequence[Hashable], k: Optional[int] = None
     ) -> list[RankedList]:
-        """Answer a batch of queries (adapter over :meth:`query_many`).
-
-        One ``k``/``approx``/``max_error`` policy applies to the whole
-        batch — the per-request policy of :class:`QueryRequest` is the
-        reason this surface is being migrated.  ``approx``/``max_error``
-        emit :class:`DeprecationWarning`; plain ``top_k_many(queries, k)``
-        remains the supported convenience form.
-        """
-        return self._legacy_query_many(
-            queries, k=k, approx=approx, max_error=max_error
-        )
-
-    def _legacy_query_many(
-        self,
-        queries: Sequence[Hashable],
-        k: Optional[int],
-        approx: Optional[bool],
-        max_error: Optional[float],
-    ) -> list[RankedList]:
-        if approx is not None or max_error is not None:
-            warnings.warn(
-                "passing approx=/max_error= to top_k/top_k_many is "
-                "deprecated; build a QueryRequest and call query()/"
-                "query_many() instead (see the README migration table)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
+        """Answer a batch of queries (adapter over :meth:`query_many`)."""
         if k is not None:
             try:
                 k = int(k)
@@ -1041,10 +944,9 @@ class SimilarityService:
                 raise ConfigurationError(
                     f"k must be a positive int, got {k!r}"
                 ) from None
-        request_template = dict(k=k, approx=approx, max_error=max_error)
         try:
             responses = self.query_many(
-                [QueryRequest(query=query, **request_template) for query in queries]
+                [QueryRequest(query=query, k=k) for query in queries]
             )
         except ServeError as error:
             # The adapters promised these exception types long before the

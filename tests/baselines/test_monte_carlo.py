@@ -10,10 +10,10 @@ from repro.baselines.monte_carlo import (
     estimate_pair,
     monte_carlo_simrank,
     sample_fingerprints,
-    sample_fingerprints_reference,
 )
 from repro.exceptions import ConfigurationError
 from repro.graph.builders import from_edges, star_graph
+from oracles import sample_fingerprints_reference
 
 
 class TestFingerprints:

@@ -1,4 +1,4 @@
-"""Unit tests for single-pair and single-source SimRank."""
+"""Unit tests for single-pair SimRank and the single-source series oracle."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.matrix_sr import matrix_simrank
-from repro.baselines.single_pair import single_pair_simrank, single_source_simrank
+from repro.baselines.single_pair import single_pair_simrank
 from repro.graph.builders import from_edges
+from oracles import single_source_simrank
 
 
 class TestSinglePair:

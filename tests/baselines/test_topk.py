@@ -3,12 +3,8 @@
 from __future__ import annotations
 
 
-from repro.baselines.topk import (
-    RankedList,
-    ranking_positions,
-    top_k_from_result,
-    top_k_single_source,
-)
+from repro.api import simrank_top_k
+from repro.baselines.topk import RankedList, ranking_positions, top_k_from_result
 from repro.core.oip_sr import oip_sr
 
 
@@ -46,12 +42,12 @@ class TestTopKSingleSource:
             small_web_graph, damping=0.6, iterations=14, diagonal="matrix"
         )
         expected = [label for label, _ in full.top_k(query, k=5)]
-        ranking = top_k_single_source(
-            small_web_graph, query, k=5, damping=0.6, iterations=14
+        (ranking,) = simrank_top_k(
+            small_web_graph, [query], k=5, damping=0.6, iterations=14
         )
         # The two top-5 lists agree up to ties: require at least 4 in common.
         assert len(set(expected) & set(ranking.labels())) >= 4
 
     def test_k_larger_than_graph(self, paper_graph):
-        ranking = top_k_single_source(paper_graph, "a", k=100, damping=0.6)
+        (ranking,) = simrank_top_k(paper_graph, ["a"], k=100, damping=0.6)
         assert len(ranking) == paper_graph.num_vertices - 1

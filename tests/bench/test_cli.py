@@ -241,10 +241,6 @@ class TestExplainSubcommand:
         assert "method=oip-sr" in output  # pinned for all-pairs...
         assert "series path" in output  # ...but top-k stays on matrix
 
-    def test_engine_parity_registered(self, capsys):
-        args = build_parser().parse_args(["engine-parity", "--quick"])
-        assert args.experiment == "engine-parity"
-
     def test_explain_with_profile_reports_measured_provenance(
         self, tmp_path, capsys
     ):
@@ -293,12 +289,6 @@ class TestCalibrateSubcommand:
         monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path))
         assert main(["calibrate", "--quick"]) == 0
         assert default_profile_path().is_file()
-
-    def test_engine_parity_runs_quick(self, capsys):
-        assert main(["engine-parity", "--quick", "--scale", "0.5"]) == 0
-        output = capsys.readouterr().out
-        assert "bit-identical" in output
-        assert "built exactly once" in output
 
 
 class TestMetricsCli:

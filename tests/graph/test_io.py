@@ -16,6 +16,11 @@ from repro.graph.io import (
     write_edge_list,
     write_labeled_json,
 )
+from oracles import read_edge_list_reference
+
+READERS = (read_edge_list_reference, read_edge_list)
+"""The per-line oracle parser and the chunked reader: every file-format
+rule must hold for both."""
 
 
 class TestEdgeList:
@@ -74,17 +79,17 @@ class TestEdgeList:
     def test_trailing_inline_comments_tolerated(self, tmp_path):
         path = tmp_path / "inline.txt"
         path.write_text("0 1  # resolved redirect\n1 2\n2 0 # cycle closes\n")
-        for engine in ("python", "chunked"):
-            graph = read_edge_list(path, engine=engine)
+        for read in READERS:
+            graph = read(path)
             assert graph.num_vertices == 3
             assert sorted(graph.edges()) == [(0, 1), (1, 2), (2, 0)]
 
     def test_blank_or_comment_only_file_raises_clearly(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# header only\n\n   \n# nothing else\n")
-        for engine in ("python", "chunked"):
+        for read in READERS:
             with pytest.raises(GraphBuildError, match="no edges"):
-                read_edge_list(path, engine=engine)
+                read(path)
         with pytest.raises(GraphBuildError, match="no edges"):
             read_edge_list_streamed(path)
 
@@ -99,29 +104,31 @@ class TestEdgeList:
         lines.insert(20, "# mid-file comment")
         path = tmp_path / "blocks.txt"
         path.write_text("\n".join(lines) + "\n")
-        reference = read_edge_list(path, engine="python")
-        chunked = read_edge_list(path, engine="chunked", block_lines=7)
+        reference = read_edge_list_reference(path)
+        chunked = read_edge_list(path, block_lines=7)
         assert chunked.num_vertices == reference.num_vertices
         assert sorted(chunked.edges()) == sorted(reference.edges())
 
     def test_extra_tokens_beyond_two_are_ignored(self, tmp_path):
         path = tmp_path / "weights.txt"
         path.write_text("0 1 0.5\n1 2 0.25 extra\n")
-        for engine in ("python", "chunked"):
-            graph = read_edge_list(path, engine=engine)
+        for read in READERS:
+            graph = read(path)
             assert sorted(graph.edges()) == [(0, 1), (1, 2)]
 
     def test_non_integer_token_raises(self, tmp_path):
         path = tmp_path / "alpha.txt"
         path.write_text("0 1\nfoo bar\n")
-        for engine in ("python", "chunked"):
+        for read in READERS:
             with pytest.raises((GraphBuildError, ValueError)):
-                read_edge_list(path, engine=engine)
+                read(path)
 
     def test_unknown_engine_rejected(self, tmp_path):
+        # The reader has one parse path; an engine choice is refused loudly
+        # rather than silently ignored.
         path = tmp_path / "any.txt"
         path.write_text("0 1\n")
-        with pytest.raises(GraphBuildError, match="engine"):
+        with pytest.raises(TypeError, match="engine"):
             read_edge_list(path, engine="imaginary")
 
 
@@ -135,7 +142,7 @@ class TestStreamedReader:
         # reader (10->0, 20->1, 30->2, 5->3).
         assert streamed.num_vertices == 4
         assert list(streamed.edges()) == [(0, 1), (2, 1), (0, 1), (1, 0), (3, 3)]
-        reference = read_edge_list(path, engine="python")
+        reference = read_edge_list_reference(path)
         assert streamed.to_digraph() == reference
 
     def test_block_size_is_invisible(self, tmp_path):

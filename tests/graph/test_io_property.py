@@ -1,6 +1,6 @@
 """Hypothesis properties for the chunked SNAP edge-list reader.
 
-The chunked NumPy parse engine and the per-line reference parser must be
+The chunked NumPy reader and the per-line oracle parser must be
 *indistinguishable* on any file — duplicate edges, self-loops, arbitrary
 (sparse, shuffled) vertex ids, comment lines, blank lines, trailing inline
 comments, and block boundaries falling anywhere.  The streamed
@@ -18,6 +18,7 @@ from repro.graph.io import (
     read_edge_list,
     read_edge_list_streamed,
 )
+from oracles import read_edge_list_reference
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 60), st.integers(0, 60)),
@@ -55,8 +56,8 @@ def test_chunked_engine_equals_per_line_parse(tmp_path, edges, seed, block):
     path = tmp_path / f"case-{seed}-{block}.txt"
     path.write_text(_render_snap(edges, rng))
 
-    reference = read_edge_list(path, engine="python")
-    chunked = read_edge_list(path, engine="chunked", block_lines=block)
+    reference = read_edge_list_reference(path)
+    chunked = read_edge_list(path, block_lines=block)
 
     # Identical graphs — same dense id assignment, same (collapsed) edges.
     assert chunked.num_vertices == reference.num_vertices
@@ -76,7 +77,7 @@ def test_streamed_reader_matches_reference_after_collapse(
     path = tmp_path / f"stream-{seed}-{block}.txt"
     path.write_text(_render_snap(edges, rng))
 
-    reference = read_edge_list(path, engine="python")
+    reference = read_edge_list_reference(path)
     streamed = read_edge_list_streamed(path, block_lines=block)
 
     # The edge-list graph keeps duplicates verbatim, in file order.

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs import SlowQueryLog, Trace, new_trace_id, span_names
+from repro.obs import SlowQueryLog, Trace, graft, new_trace_id, span_names
 
 
 class TestTrace:
@@ -61,6 +63,89 @@ class TestTrace:
         trace.root.finish(2.0)
         trace.root.finish(3.0)  # second finish must not move the end
         assert trace.to_tree()["duration_ms"] == pytest.approx(1000.0)
+
+
+def _edges(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        for child in node.get("children", []):
+            yield node, child
+            stack.append(child)
+
+
+durations = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+
+subtree_shapes = st.lists(
+    st.tuples(st.integers(0, 10**6), durations, durations), max_size=12
+)
+"""A service-side tree: node i hangs under an earlier node (chosen by the
+integer), starts a gap after its parent and lasts a while."""
+
+
+def _service_tree(shape, start: float) -> dict:
+    trace = Trace("service.query", start=start)
+    spans = [trace.root]
+    for choice, gap, length in shape:
+        parent = spans[choice % len(spans)]
+        spans.append(parent.child("step", start=parent.start + gap))
+        spans[-1].finish(spans[-1].start + length)
+    trace.root.finish(max(span.end or span.start for span in spans))
+    return trace.to_tree()
+
+
+class TestGraft:
+    def test_regrafted_ids_offsets_and_linkage(self):
+        request = Trace("request", start=10.0)
+        request.root.record("dispatch", 10.001, 10.004)
+        tree = request.to_tree()
+        service = Trace("service.query", start=50.0)
+        service.root.record("validate", 50.0, 50.001)
+        service.root.finish(50.002)
+        grafted = graft(tree["children"][0], service.to_tree(), 1.5)
+        assert grafted["span_id"] == "1.1.1"
+        assert grafted["parent_id"] == "1.1"
+        assert grafted["trace_id"] == tree["trace_id"]
+        assert grafted["start_ms"] == pytest.approx(1.5)
+        (validate,) = grafted["children"]
+        assert validate["span_id"] == "1.1.1.1"
+        assert validate["parent_id"] == "1.1.1"
+        assert validate["start_ms"] == pytest.approx(1.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=subtree_shapes,
+        admission=durations,
+        queue=durations,
+        dispatch=durations,
+        lag=st.floats(min_value=0.0, max_value=1.0),
+        service_clock=st.floats(min_value=0.0, max_value=1e6),
+    )
+    def test_grafted_tree_ids_unique_and_children_start_after_parents(
+        self, shape, admission, queue, dispatch, lag, service_clock
+    ):
+        origin = 100.0
+        enqueued = origin + admission
+        dispatch_started = enqueued + queue
+        request = Trace("request", start=origin)
+        request.root.record("admission", origin, enqueued)
+        request.root.record("queue", enqueued, dispatch_started)
+        request.root.record(
+            "dispatch", dispatch_started, dispatch_started + dispatch
+        )
+        tree = request.to_tree()
+        # The service serialised its tree on its own clock; the graft
+        # offset is where it started on the request's clock.
+        subtree = _service_tree(shape, service_clock)
+        service_started = dispatch_started + lag * dispatch
+        graft(tree["children"][-1], subtree, (service_started - origin) * 1000.0)
+
+        ids = [tree["span_id"]] + [child["span_id"] for _, child in _edges(tree)]
+        assert len(ids) == len(set(ids))
+        for parent, child in _edges(tree):
+            assert child["parent_id"] == parent["span_id"]
+            assert child["trace_id"] == tree["trace_id"]
+            assert child["start_ms"] >= parent["start_ms"]
 
 
 class TestSlowQueryLog:

@@ -95,6 +95,43 @@ class TestTracedQueryOverSocket:
             assert node["duration_ms"] >= 0.0
             stack.extend(node.get("children", []))
 
+    def test_grafted_service_subtree_has_unique_ids_and_one_time_base(
+        self, compute_engine, server_factory
+    ):
+        # The service serialises its tree on its own (root span "1",
+        # start_ms 0); grafted, it must neither reuse the request root's id
+        # nor keep its own clock.
+        server = server_factory(compute_engine)
+        with SimilarityClient("127.0.0.1", server.port) as client:
+            traced = client.query(9, k=5, trace=True)
+        tree = traced.trace
+        dispatch = tree["children"][-1]
+        assert dispatch["name"] == "dispatch"
+        (service,) = dispatch["children"]
+        assert service["name"] == "service.query"
+        assert service["span_id"] == "1.3.1"
+        assert service["parent_id"] == "1.3"
+        assert service["start_ms"] >= dispatch["start_ms"] > 0.0
+        assert service["start_ms"] + service["duration_ms"] <= (
+            dispatch["start_ms"] + dispatch["duration_ms"] + 1e-3
+        )
+        ids = [node["span_id"] for _, node in _edges(tree)] + [tree["span_id"]]
+        assert len(ids) == len(set(ids))
+        for parent, node in _edges(tree):
+            assert node["parent_id"] == parent["span_id"]
+            assert node["trace_id"] == tree["trace_id"]
+            assert node["start_ms"] >= parent["start_ms"]
+
+
+def _edges(tree: dict):
+    """Every (parent, child) pair of a serialised span tree."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        for child in node.get("children", []):
+            yield node, child
+            stack.append(child)
+
 
 def _has_coalesced_batch(tree: dict) -> bool:
     stack = [tree]

@@ -198,7 +198,7 @@ class TestSharedStateRegressions:
             + snapshot["compute_hits"]
             == 12000
         )
-        assert stats.tiers["index"].count == 4000
+        assert snapshot["index_hits"] == 4000
 
     def test_lru_cache_threads_never_exceed_capacity(self):
         cache = LRUCache(32)

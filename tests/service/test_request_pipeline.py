@@ -1,11 +1,11 @@
-"""The request/response pipeline: typed errors, adapters, deprecation.
+"""The request/response pipeline: typed errors and the plain adapters.
 
 ``query()``/``query_many()`` over :class:`QueryRequest` are the single
-pipeline every caller shares; ``top_k``/``top_k_many`` are deprecated
-adapters over it.  These tests pin the equivalences and contracts the
-migration relies on: identical answers through both surfaces, per-request
-policy inside one batch, warnings only for the deprecated kwargs, legacy
-exception types from the adapters, and typed codes from the new API.
+pipeline every caller shares; ``top_k``/``top_k_many`` are thin adapters
+over it.  These tests pin the equivalences and contracts the adapters keep:
+identical answers through both surfaces, per-request policy inside one
+batch, no warnings, legacy exception types from the adapters, and typed
+codes from the request API.
 """
 
 from __future__ import annotations
@@ -143,15 +143,6 @@ class TestDeprecatedAdapters:
             warnings.simplefilter("error", DeprecationWarning)
             service.top_k(0, k=5)
             service.top_k_many([1, 2], k=5)
-
-    def test_approx_kwarg_warns(self, served_graph):
-        service = make_service(
-            served_graph, with_index=False, with_fingerprints=True, cache_size=0
-        )
-        with pytest.warns(DeprecationWarning, match="QueryRequest"):
-            service.top_k(0, k=5, approx=True)
-        with pytest.warns(DeprecationWarning, match="QueryRequest"):
-            service.top_k_many([1], k=5, max_error=0.1)
 
     def test_adapter_matches_request_api(self, served_graph):
         service = make_service(served_graph)

@@ -169,7 +169,7 @@ class TestBackendPluggability:
 
 
 class TestSharedBackendResolution:
-    """Satellite: simrank_top_k resolves backends through _resolve_backend."""
+    """simrank_top_k resolves backends through the shared resolve_backend."""
 
     def test_bad_backend_raises_configuration_error_not_keyerror(
         self, paper_graph
@@ -252,7 +252,7 @@ class TestSharedRankingSemantics:
 
 
 class TestCapabilitiesRegistry:
-    """The MethodSpec booleans are now one declarative Capabilities record."""
+    """Each MethodSpec carries one declarative Capabilities record."""
 
     def test_every_method_declares_capabilities(self):
         from repro.api import METHODS
@@ -271,16 +271,6 @@ class TestCapabilitiesRegistry:
             if "top_k" in spec.capabilities.tasks
         }
         assert series == {"matrix"}
-
-    def test_compat_accessors_mirror_capabilities(self):
-        from repro.api import method_spec
-
-        matrix = method_spec("matrix")
-        assert matrix.accepts_backend is matrix.capabilities.accepts_backend
-        assert matrix.accepts_workers is matrix.capabilities.accepts_workers
-        assert matrix.needs_adjacency is matrix.capabilities.needs_adjacency
-        assert matrix.default_backend == "sparse"
-        assert matrix.backends == ("dense", "sparse")
 
     def test_register_method_is_the_plug_in_point(self, paper_graph):
         from repro.api import METHODS, MethodSpec, register_method

@@ -19,9 +19,9 @@ from repro import (
     oip_dsr,
     oip_sr,
     psum_simrank,
-    single_source_simrank,
 )
 from repro.graph.io import read_labeled_json, write_labeled_json
+from oracles import single_source_simrank
 from repro.ranking import compare_top_k, kendall_tau
 
 
